@@ -212,6 +212,27 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 	b.ReportMetric(float64(sc.Engine().Steps())/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkScenarioThroughputGF is BenchmarkScenarioThroughput for
+// grant-free UL packets, the paper's fastest access mode.
+func BenchmarkScenarioThroughputGF(b *testing.B) {
+	b.ReportAllocs()
+	sc, err := urllcsim.NewScenario(urllcsim.ScenarioConfig{
+		Pattern: urllcsim.PatternDM, SlotScale: urllcsim.Slot0p5ms, GrantFree: true, Radio: urllcsim.RadioUSB2, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.SendUplink(time.Duration(i)*2*time.Millisecond+137*time.Microsecond, 32)
+	}
+	rs := sc.Run(time.Duration(b.N+50) * 2 * time.Millisecond)
+	if len(rs) != b.N {
+		b.Fatalf("resolved %d/%d", len(rs), b.N)
+	}
+	b.ReportMetric(float64(sc.Engine().Steps())/b.Elapsed().Seconds(), "events/sec")
+}
+
 // BenchmarkWorstCaseEngine measures the analytic engine's speed. One walk
 // is the analytic equivalent of one engine event, so events/sec here and in
 // BenchmarkScenarioThroughput are comparable throughput trends.

@@ -206,3 +206,22 @@ func TestCellSweepWorkerInvariance(t *testing.T) {
 		t.Fatalf("worker count changed cell results:\n1: %v\n4: %v", serial, parallel)
 	}
 }
+
+// BenchmarkCellGrantFree is one whole 128-UE grant-free cell per op, with CG
+// contention and backoff resolved in-sim; UEs/sec is how many concurrently
+// active machines one wall-clock second of simulation buys at this load.
+func BenchmarkCellGrantFree(b *testing.B) {
+	b.ReportAllocs()
+	const ues, cycles = 128, 4
+	for i := 0; i < b.N; i++ {
+		res, err := Run(Config{UEs: ues, Mode: ModeGrantFree, Cycles: cycles,
+			Period: 20 * time.Millisecond, Seed: uint64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Offered != ues*cycles {
+			b.Fatalf("offered %d, want %d", res.Offered, ues*cycles)
+		}
+	}
+	b.ReportMetric(float64(b.N)*ues/b.Elapsed().Seconds(), "UEs/sec")
+}

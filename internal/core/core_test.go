@@ -122,6 +122,20 @@ func TestWorstCaseMagnitudes(t *testing.T) {
 	}
 }
 
+// The analytic worst-case walk allocates nothing: Table 1 and every sweep
+// cell run it many times per configuration.
+func TestWorstCaseZeroAlloc(t *testing.T) {
+	cfg := ConfigDM(nr.Mu2, DefaultAssumptions())
+	walk := func() {
+		if _, err := cfg.WorstCase(GrantBasedUL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, walk); allocs != 0 {
+		t.Fatalf("grant-based worst-case walk allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestWalkDeterministicAndCausal(t *testing.T) {
 	cfg := ConfigDM(nr.Mu2, DefaultAssumptions())
 	for _, mode := range Modes {

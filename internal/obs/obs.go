@@ -307,8 +307,9 @@ func NewRecorder() *Recorder {
 // reservoirs, the snapshot arena, instrument registrations and family rows.
 // A reset recorder re-observing the same workload behaves byte-identically
 // to a fresh one and allocates nothing once its storage has warmed up: the
-// steady-state contract pinned by the ObsEnabledSteady benchmark, and the
-// reuse pattern for benchmark loops and repeated-scenario services.
+// steady-state contract pinned by TestResetSteadyZeroAlloc and
+// TestHotPathZeroAlloc, and the reuse pattern for benchmark loops and
+// repeated-scenario services.
 //
 // Reset invalidates everything previously returned by Spans, Outcomes,
 // Events, Slots and Snapshots: those slices alias the recycled storage.

@@ -227,3 +227,111 @@ func TestRegistryMerge(t *testing.T) {
 		t.Fatal("merge mutated a source registry")
 	}
 }
+
+// hotOps is the number of record rounds the hot-path benchmarks and
+// zero-alloc tests drive per op.
+const hotOps = 1024
+
+// recordHot drives the three calls model code makes most — counter bump,
+// latency observation, span append — hotOps times through r (nil =
+// disabled).
+func recordHot(r *Recorder) {
+	for j := 0; j < hotOps; j++ {
+		r.Count("bench.counter", 1)
+		r.Observe("bench.timing", sim.Duration(j)*sim.Microsecond)
+		r.PacketSpan(j, DirUL, LayerMAC, "bench", core.Processing, sim.Time(j*1000), sim.Microsecond)
+	}
+}
+
+// recordLabeled drives the per-UE counter, gauge and histogram family
+// updates the node layer performs per packet and per tick, over 8 UEs.
+func recordLabeled(r *Recorder) {
+	for j := 0; j < hotOps; j++ {
+		ue := j % 8
+		CountIn(r, "pkt.by_ue", PktEvent{UE: ue, Dir: DirUL, Event: "delivered"}, 1)
+		GaugeIn(r, "slot.ue_dl_take_bytes", UEKey{UE: ue}, float64(j))
+		ObserveIn(r, "lat.by_ue", UEDir{UE: ue, Dir: DirUL}, sim.Duration(j)*sim.Microsecond)
+	}
+}
+
+// sampledRecorder returns a recorder with a 1/16 deterministic span head
+// sample: counters and timings stay exact, spans keep the admitted subset.
+func sampledRecorder() *Recorder {
+	r := NewRecorder()
+	r.SetSampling(1.0/16, 1)
+	return r
+}
+
+// TestHotPathZeroAlloc pins the record paths that must not allocate: the
+// nil-recorder (disabled) flat and labeled paths, and a warmed sampling
+// recorder's record+Reset cycle (TestResetSteadyZeroAlloc covers the
+// unsampled one). Each cycle runs once first so every slab sits at its
+// high-water capacity.
+func TestHotPathZeroAlloc(t *testing.T) {
+	sampled := sampledRecorder()
+	cases := []struct {
+		name  string
+		cycle func()
+	}{
+		{"ObsDisabled", func() { recordHot(nil) }},
+		{"LabeledDisabled", func() { recordLabeled(nil) }},
+		{"ObsSampled", func() { recordHot(sampled); sampled.Reset() }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cycle() // warm
+			if allocs := testing.AllocsPerRun(10, c.cycle); allocs != 0 {
+				t.Fatalf("%.1f allocs per %d-round cycle, want 0", allocs, hotOps)
+			}
+		})
+	}
+}
+
+func benchRecords(b *testing.B, cycle func()) {
+	b.ReportAllocs()
+	cycle() // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.ReportMetric(float64(b.N)*hotOps*3/b.Elapsed().Seconds(), "records/sec")
+}
+
+// BenchmarkObsRecord pays a fresh recorder per op: the enabled hot path
+// including every slab's first growth.
+func BenchmarkObsRecord(b *testing.B) {
+	benchRecords(b, func() { recordHot(NewRecorder()) })
+}
+
+// BenchmarkObsDisabled is the nil-recorder path the tracing-overhead gate
+// protects.
+func BenchmarkObsDisabled(b *testing.B) {
+	benchRecords(b, func() { recordHot(nil) })
+}
+
+// BenchmarkObsEnabledSteady is the pooled reuse cycle a sweep replica or a
+// long-running service drives: record, then Reset. TestResetSteadyZeroAlloc
+// gates its 0 allocs/op.
+func BenchmarkObsEnabledSteady(b *testing.B) {
+	r := NewRecorder()
+	benchRecords(b, func() { recordHot(r); r.Reset() })
+}
+
+// BenchmarkObsSampled is BenchmarkObsEnabledSteady under 1/16 span sampling;
+// the gap between the two is what -sample-rate buys on the record path.
+func BenchmarkObsSampled(b *testing.B) {
+	r := sampledRecorder()
+	benchRecords(b, func() { recordHot(r); r.Reset() })
+}
+
+// BenchmarkLabeledRegistry pays a fresh recorder per op for the labeled
+// families.
+func BenchmarkLabeledRegistry(b *testing.B) {
+	benchRecords(b, func() { recordLabeled(NewRecorder()) })
+}
+
+// BenchmarkLabeledDisabled is the per-packet cost every unlabeled run pays
+// for the dimensional layer existing.
+func BenchmarkLabeledDisabled(b *testing.B) {
+	benchRecords(b, func() { recordLabeled(nil) })
+}

@@ -106,8 +106,7 @@ func TestResetSampledByteIdentity(t *testing.T) {
 
 // TestResetSteadyZeroAlloc is the steady-state half of the contract: once a
 // recorder has been through one workload + Reset cycle, further cycles touch
-// only recycled storage. This is the in-process version of the
-// ObsEnabledSteady benchmark gate.
+// only recycled storage: the 0 allocs/op gate of BenchmarkObsEnabledSteady.
 func TestResetSteadyZeroAlloc(t *testing.T) {
 	r := NewRecorder()
 	r.EnableSlotLedger()

@@ -568,3 +568,108 @@ func TestEnginePropertyAllEventsFireOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// benchEvents is the queue size the engine benchmarks drive per op; the
+// scatter key spreads them over 100 µs of virtual time in a fixed,
+// non-monotone order so every wheel level sees traffic.
+const benchEvents = 4096
+
+func scatter(j int) Time { return Time((j * 2654435761) % 100000) }
+
+// scheduleCycle schedules benchEvents leaf events ahead of the clock and
+// drains them: pure queue + dispatch cost, no model code.
+func scheduleCycle(e *Engine) {
+	base := e.Now()
+	for j := 0; j < benchEvents; j++ {
+		e.Schedule(base+scatter(j), "e", func() {})
+	}
+	e.RunAll()
+}
+
+// cancelStormCycle is the HARQ/CG retransmission-cancel pattern at its most
+// hostile: every scheduled event is cancelled before it can fire.
+func cancelStormCycle(e *Engine, evs []Event) {
+	base := e.Now()
+	for j := range evs {
+		evs[j] = e.Schedule(base+scatter(j), "e", func() {})
+	}
+	for j := range evs {
+		evs[j].Cancel()
+	}
+}
+
+// A warmed cancel storm must allocate nothing and leave the queue empty:
+// excision is O(1) and every node goes straight back to the pool.
+func TestCancelStormZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	evs := make([]Event, benchEvents)
+	cancelStormCycle(e, evs) // warm the pool
+	if avg := testing.AllocsPerRun(20, func() { cancelStormCycle(e, evs) }); avg != 0 {
+		t.Fatalf("steady-state schedule+cancel allocates %v allocs/cycle, want 0", avg)
+	}
+	if e.QueueLen() != 0 {
+		t.Fatalf("QueueLen = %d after cancel storm, want 0", e.QueueLen())
+	}
+}
+
+// BenchmarkEngineSchedule runs each op on a fresh engine, so it includes the
+// one-time pool fill (one allocation per slab); BenchmarkEngineScheduleSteady
+// is the warmed zero-alloc path.
+func BenchmarkEngineSchedule(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		scheduleCycle(e)
+		if e.Steps() != benchEvents {
+			b.Fatalf("fired %d/%d", e.Steps(), benchEvents)
+		}
+	}
+	b.ReportMetric(float64(b.N)*benchEvents/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkEngineScheduleCancel cancels every other queued event before
+// draining: the O(1) excision path plus live-count bookkeeping.
+func BenchmarkEngineScheduleCancel(b *testing.B) {
+	b.ReportAllocs()
+	evs := make([]Event, benchEvents)
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		for j := range evs {
+			evs[j] = e.Schedule(scatter(j), "e", func() {})
+		}
+		for j := 0; j < benchEvents; j += 2 {
+			evs[j].Cancel()
+		}
+		if e.RunAll(); e.Steps() != benchEvents/2 {
+			b.Fatalf("fired %d/%d", e.Steps(), benchEvents/2)
+		}
+	}
+	b.ReportMetric(float64(b.N)*benchEvents/2/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkEngineScheduleSteady is the pooled steady state the timing wheel
+// is built for; TestSteadyStateScheduleAllocsZero gates its 0 allocs/op.
+func BenchmarkEngineScheduleSteady(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	scheduleCycle(e) // warm the node pool so b.N ops hit the freelist only
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scheduleCycle(e)
+	}
+	b.ReportMetric(float64(b.N)*benchEvents/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkEngineCancelStorm measures the warmed schedule+cancel churn;
+// TestCancelStormZeroAlloc gates its 0 allocs/op.
+func BenchmarkEngineCancelStorm(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	evs := make([]Event, benchEvents)
+	cancelStormCycle(e, evs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cancelStormCycle(e, evs)
+	}
+	b.ReportMetric(float64(b.N)*benchEvents/b.Elapsed().Seconds(), "cancels/sec")
+}

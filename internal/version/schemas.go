@@ -12,7 +12,6 @@ const (
 	SchemaFlight  = "urllcsim-flight/v1"  // tail-forensics flight records
 	SchemaAnomaly = "urllcsim-anomaly/v1" // watchdog anomaly events
 	SchemaProfile = "urllcsim-profile/v3" // engine self-profile records
-	SchemaBench   = "urllc-bench/v1"      // BENCH_*.json perf snapshots
 	SchemaSlots   = "urllcsim-slots/v1"   // per-slot occupancy ledger
 	SchemaKPI     = "urllcsim-kpi/v1"     // per-UE KPI / fairness / CCDF records
 )
@@ -21,7 +20,7 @@ const (
 func Schemas() []string {
 	return []string{
 		SchemaTrace, SchemaFlight, SchemaAnomaly, SchemaProfile,
-		SchemaBench, SchemaSlots, SchemaKPI,
+		SchemaSlots, SchemaKPI,
 	}
 }
 

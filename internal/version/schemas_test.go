@@ -3,7 +3,6 @@ package version_test
 import (
 	"testing"
 
-	"urllcsim/internal/bench"
 	"urllcsim/internal/obs"
 	"urllcsim/internal/obs/analyze"
 	"urllcsim/internal/obs/flight"
@@ -23,7 +22,6 @@ func TestSchemaRegistry(t *testing.T) {
 		{version.SchemaFlight, flight.Schema, "flight"},
 		{version.SchemaAnomaly, flight.AnomalySchema, "anomaly"},
 		{version.SchemaProfile, prof.ReportSchema, "profile"},
-		{version.SchemaBench, bench.Schema, "bench"},
 		{version.SchemaSlots, obs.SlotsSchema, "slots"},
 		{version.SchemaKPI, analyze.KPISchema, "kpi"},
 	}

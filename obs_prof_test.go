@@ -96,18 +96,6 @@ func TestProfilerPartition(t *testing.T) {
 	if count != rep.Events {
 		t.Fatalf("per-type counts sum to %d, events total is %d", count, rep.Events)
 	}
-	if rep.Heap.Pushes < rep.Events {
-		t.Fatalf("heap pushes %d < fired events %d", rep.Heap.Pushes, rep.Events)
-	}
-	// Every pop fires an event (the wheel excises cancellations instead of
-	// popping them), so the profiled window's pops equal its event count —
-	// the engine's books and the profiler's attribution must agree exactly.
-	if rep.Heap.Pops != rep.Events {
-		t.Fatalf("heap pops %d != fired events %d", rep.Heap.Pops, rep.Events)
-	}
-	if rep.Heap.Pushes < rep.Heap.Pops+rep.Heap.Cancels {
-		t.Fatalf("heap pushes %d < pops %d + cancels %d", rep.Heap.Pushes, rep.Heap.Pops, rep.Heap.Cancels)
-	}
 	// The reference scenario advances 80 packets × 2 ms of virtual time in
 	// well under a second of wall time on any machine: the ratio must be
 	// finite and positive, and events/sec must be consistent with the totals.
@@ -117,5 +105,61 @@ func TestProfilerPartition(t *testing.T) {
 	wantEPS := float64(rep.Events) / (float64(rep.AttributedNs) / 1e9)
 	if diff := rep.EventsPerSec - wantEPS; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("events/sec %f inconsistent with totals (want %f)", rep.EventsPerSec, wantEPS)
+	}
+}
+
+// TestProfileCounterCoherence checks the engine's queue books against the
+// profiler's attribution on real scenarios. Every pop fires an event (the
+// wheel excises cancellations instead of popping them), so the profiled
+// window's pops equal its fired-event count, and every push is either
+// popped, cancelled or still queued at the end of the window — hence
+// pushes ≥ pops + cancels, with the queue-length change as the exact
+// remainder. A mismatch means the engine's books and the profiler's
+// attribution diverged.
+func TestProfileCounterCoherence(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  ScenarioConfig
+	}{
+		{"DDDU", ScenarioConfig{Pattern: PatternDDDU, SlotScale: Slot0p5ms, Radio: RadioUSB2, Seed: 1}},
+		{"DDDU-audited", ScenarioConfig{Pattern: PatternDDDU, SlotScale: Slot0p5ms, Radio: RadioUSB2,
+			Seed: 7, Deadline: 500 * time.Microsecond, Obs: obs.NewRecorder()}},
+		{"DM-grantfree-contended", ScenarioConfig{Pattern: PatternDM, SlotScale: Slot0p5ms, Radio: RadioUSB2,
+			GrantFree: true, CGUnits: 2, UEs: 8, Seed: 3}},
+		{"DU-roundrobin-harq", ScenarioConfig{Pattern: PatternDU, SlotScale: Slot0p5ms, Radio: RadioUSB2,
+			RoundRobin: true, HARQFeedback: true, UEs: 8, SNRdB: 8, Seed: 5}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := NewScenario(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := sc.Engine()
+			queued := eng.QueueLen()
+			p := prof.Attach(eng)
+			const packets = 60
+			for i := 0; i < packets; i++ {
+				at := time.Duration(i) * 2 * time.Millisecond
+				sc.SendUplinkFrom(i%8, at+137*time.Microsecond, 32)
+				sc.SendDownlinkFrom(i%8, at+731*time.Microsecond, 32)
+			}
+			// Stop short of draining so the window ends with events still queued.
+			sc.Run(packets * 2 * time.Millisecond)
+			rep := p.Finish()
+			h := rep.Heap
+			if rep.Events == 0 {
+				t.Fatal("profiled window fired no events")
+			}
+			if h.Pops != rep.Events {
+				t.Fatalf("heap pops %d != fired events %d", h.Pops, rep.Events)
+			}
+			if h.Pushes < h.Pops+h.Cancels {
+				t.Fatalf("heap pushes %d < pops %d + cancels %d", h.Pushes, h.Pops, h.Cancels)
+			}
+			if left := int64(h.Pushes) - int64(h.Pops+h.Cancels); left != int64(eng.QueueLen()-queued) {
+				t.Fatalf("pushes − pops − cancels = %d, queue grew by %d over the window", left, eng.QueueLen()-queued)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"urllcsim/internal/obs"
+	"urllcsim/internal/obs/flight"
 	"urllcsim/internal/sim"
 )
 
@@ -152,4 +153,33 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			run(b, rec)
 		}
 	})
+}
+
+// BenchmarkFlightRecorderOverhead is BenchmarkScenarioThroughput with a
+// retention-free recorder and a flight-recorder tap attached — the
+// configuration `urllcsim -flight-out` runs. The events/sec gap between the
+// two is the flight recorder's whole-run cost.
+func BenchmarkFlightRecorderOverhead(b *testing.B) {
+	b.ReportAllocs()
+	rec := obs.NewRecorder()
+	rec.SetRetention(false, false)
+	fr := flight.New(flight.Config{Deadline: 500 * sim.Microsecond, TopK: flight.DefaultTopK})
+	rec.SetTap(fr)
+	sc, err := NewScenario(ScenarioConfig{
+		Pattern: PatternDDDU, SlotScale: Slot0p5ms, Radio: RadioUSB2, Seed: 1, Obs: rec,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.SendDownlink(time.Duration(i)*2*time.Millisecond, 32)
+	}
+	if rs := sc.Run(time.Duration(b.N+50) * 2 * time.Millisecond); len(rs) != b.N {
+		b.Fatalf("resolved %d/%d", len(rs), b.N)
+	}
+	if st := fr.Stats(); st.Resolved != b.N {
+		b.Fatalf("flight recorder resolved %d/%d", st.Resolved, b.N)
+	}
+	b.ReportMetric(float64(sc.Engine().Steps())/b.Elapsed().Seconds(), "events/sec")
 }
