@@ -21,8 +21,10 @@ import (
 // histogram without loss. This is the machinery the p99.999 URLLC
 // reliability tail needs on runs of millions of packets.
 //
-// Exact minimum and maximum are tracked on the side, so Quantile(0) and
-// Quantile(1) are exact, and interior quantiles are clamped into [min, max].
+// Exact count, sum, minimum and maximum are tracked on the side, plus a
+// Welford running mean and squared-deviation sum, so N, Mean, Std, Min and
+// Max are exact (up to float rounding) and interior quantiles are clamped
+// into [min, max].
 const (
 	// logSubBucketBits fixes the relative resolution: each octave
 	// [2^e, 2^(e+1)) holds 2^logSubBucketBits sub-buckets.
@@ -35,11 +37,12 @@ const (
 	logLinearMax  = 1 << logLinearBits
 )
 
-// LogHistogram's zero value is NOT ready to use; call NewLogHistogram.
+// LogHistogram's zero value is an empty histogram ready to use.
 type LogHistogram struct {
 	counts   []int64 // grown lazily to the highest touched index
 	total    int64
-	sum      float64 // for mean / Prometheus _sum; float to avoid overflow
+	sum      float64 // for Mean / Prometheus _sum; float to avoid overflow
+	mean, m2 float64 // Welford running mean and squared-deviation sum, for Std
 	min, max int64   // exact observed extrema (valid when total > 0)
 }
 
@@ -96,7 +99,11 @@ func (h *LogHistogram) Add(v int64) {
 	}
 	h.counts[idx]++
 	h.total++
-	h.sum += float64(v)
+	x := float64(v)
+	h.sum += x
+	d := x - h.mean
+	h.mean += d / float64(h.total)
+	h.m2 += d * (x - h.mean)
 	if h.total == 1 || v < h.min {
 		h.min = v
 	}
@@ -154,6 +161,16 @@ func (h *LogHistogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.total)
+}
+
+// Std returns the population standard deviation (0 below two samples),
+// from the Welford squared-deviation sum: exact up to float rounding, like
+// Accumulator.Std, with no bucket quantisation.
+func (h *LogHistogram) Std() float64 {
+	if h.total < 2 {
+		return 0
+	}
+	return math.Sqrt(h.m2 / float64(h.total))
 }
 
 // Min returns the exact smallest recorded value (0 when empty).
@@ -227,8 +244,11 @@ func (h *LogHistogram) FractionBelow(v int64) float64 {
 }
 
 // Merge adds every sample of o into h. Bucket geometry is shared by
-// construction, so the merge is exact: h ends up identical to a histogram
-// that observed both sample streams.
+// construction, so the bucket merge is exact: h ends up with the buckets,
+// count, sum and extrema of a histogram that observed both sample streams.
+// The Welford terms combine by the parallel formula (Chan et al.), as in
+// Accumulator.Merge: merging the same shards in the same order is
+// bit-identical.
 func (h *LogHistogram) Merge(o *LogHistogram) {
 	if o == nil || o.total == 0 {
 		return
@@ -239,11 +259,15 @@ func (h *LogHistogram) Merge(o *LogHistogram) {
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
-	if h.total == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.total == 0 || o.max > h.max {
-		h.max = o.max
+	if h.total == 0 {
+		h.min, h.max, h.mean, h.m2 = o.min, o.max, o.mean, o.m2
+	} else {
+		n := float64(h.total + o.total)
+		d := o.mean - h.mean
+		h.m2 += o.m2 + d*d*float64(h.total)*float64(o.total)/n
+		h.mean += d * float64(o.total) / n
+		h.min = min(h.min, o.min)
+		h.max = max(h.max, o.max)
 	}
 	h.total += o.total
 	h.sum += o.sum
@@ -261,22 +285,4 @@ func (h *LogHistogram) Buckets(f func(upperInclusive int64, cumulative int64)) {
 		cum += c
 		f(logLowerBound(idx)+logWidth(idx)-1, cum)
 	}
-}
-
-// StdApprox returns an approximate standard deviation computed from bucket
-// midpoints — good to the bucket resolution, retained-sample-free.
-func (h *LogHistogram) StdApprox() float64 {
-	if h.total < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for idx, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		mid := float64(logLowerBound(idx)) + float64(logWidth(idx))/2
-		ss += float64(c) * (mid - mean) * (mid - mean)
-	}
-	return math.Sqrt(ss / float64(h.total))
 }

@@ -172,28 +172,8 @@ func (h *Histogram) nextRand() uint64 {
 // SampleCap, then pinned at SampleCap).
 func (h *Histogram) Retained() int { return len(h.samples) }
 
-// Reset empties the histogram in place, keeping the bin array and the
-// retained-sample capacity for reuse — a reset histogram behaves exactly like
-// a fresh one (the reservoir PRNG restarts from its fixed seed) without
-// re-allocating its storage.
-func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	h.Overflow = 0
-	h.total = 0
-	h.sum = 0
-	h.samples = h.samples[:0]
-	h.rngState = 0
-}
-
 // AddDuration records a duration in milliseconds (Fig. 6's axis unit).
 func (h *Histogram) AddDuration(d sim.Duration) { h.Add(float64(d) / 1e6) }
-
-// StorageBytes returns the bytes held by the bin array and the retained
-// sample reservoir (capacities) — the footprint the observability layer's
-// self-accounting reports.
-func (h *Histogram) StorageBytes() int64 { return int64(cap(h.Counts)+cap(h.samples)) * 8 }
 
 // N returns the number of recorded values.
 func (h *Histogram) N() int64 { return h.total }
