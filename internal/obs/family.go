@@ -3,10 +3,8 @@ package obs
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"urllcsim/internal/metrics"
-	"urllcsim/internal/sim"
 )
 
 // Labeled metric families add a dimension to the flat registry namespace:
@@ -20,9 +18,9 @@ import (
 //     registries in a fixed shard order is bit-identical however the shards
 //     were scheduled (the internal/sweep invariance contract).
 //
-//   - Disabled-path cost: the nil-safe CountIn/GaugeIn/ObserveIn helpers
-//     return after one pointer comparison on a nil recorder, like every
-//     other Recorder method.
+//   - Disabled-path cost: the nil-safe CounterFamH/GaugeFamH/HistFamH
+//     handles return after one pointer comparison on a nil recorder, like
+//     every other Recorder method.
 //
 // The key type K is a small comparable struct (UEKey, UEDir, PktEvent) that
 // renders itself as labels; using structs instead of formatted strings keeps
@@ -329,57 +327,4 @@ func HistFam[K LabelSet](r *Registry, name string) *HistFamily[K] {
 	r.fIndex[name] = f
 	r.families = append(r.families, f)
 	return f
-}
-
-// CountIn adds delta to the keyed counter of the named family. Nil-safe and
-// live-lock-aware like Recorder.Count.
-func CountIn[K LabelSet](r *Recorder, name string, k K, delta int64) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		CounterFam[K](r.reg, name).At(k).Add(delta)
-		r.live.Unlock()
-		return
-	}
-	CounterFam[K](r.reg, name).At(k).Add(delta)
-}
-
-// GaugeIn sets the keyed gauge of the named family. Nil-safe.
-func GaugeIn[K LabelSet](r *Recorder, name string, k K, v float64) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		GaugeFam[K](r.reg, name).At(k).Set(v)
-		r.live.Unlock()
-		return
-	}
-	GaugeFam[K](r.reg, name).At(k).Set(v)
-}
-
-// ObserveIn records a duration into the keyed histogram of the named family.
-// Nil-safe.
-func ObserveIn[K LabelSet](r *Recorder, name string, k K, d sim.Duration) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		HistFam[K](r.reg, name).At(k).AddDuration(d)
-		r.live.Unlock()
-		return
-	}
-	HistFam[K](r.reg, name).At(k).AddDuration(d)
 }

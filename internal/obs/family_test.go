@@ -99,21 +99,24 @@ func TestFamilyMergeAssociative(t *testing.T) {
 	}
 }
 
-// TestFamilyNilSafeHelpers: the In helpers are no-ops on a nil recorder and
-// record on a live one without deadlocking.
+// TestFamilyNilSafeHelpers: the family handles are no-ops on a nil recorder
+// and record on a live one without deadlocking.
 func TestFamilyNilSafeHelpers(t *testing.T) {
-	var nilRec *Recorder
-	CountIn(nilRec, "pkt.by_ue", UEKey{UE: 1}, 1)
-	GaugeIn(nilRec, "q", UEKey{UE: 1}, 1)
-	ObserveIn(nilRec, "lat", UEKey{UE: 1}, sim.Microsecond)
+	record := func(r *Recorder) {
+		c := CounterFamH[UEKey](r, "pkt.by_ue")
+		g := GaugeFamH[UEKey](r, "q")
+		h := HistFamH[UEKey](r, "lat")
+		c.Add(UEKey{UE: 1}, 2)
+		g.Set(UEKey{UE: 1}, 3)
+		h.Observe(UEKey{UE: 1}, sim.Microsecond)
+	}
+	record(nil)
 
 	rec := NewRecorder()
-	rec.enableLive() // installs the lock the helpers must take and release
-	CountIn(rec, "pkt.by_ue", UEKey{UE: 1}, 2)
-	GaugeIn(rec, "q", UEKey{UE: 1}, 3)
-	ObserveIn(rec, "lat", UEKey{UE: 1}, sim.Microsecond)
+	rec.enableLive() // installs the lock the handles must take and release
+	record(rec)
 	if got := CounterFam[UEKey](rec.Metrics(), "pkt.by_ue").At(UEKey{UE: 1}).Value(); got != 2 {
-		t.Fatalf("live CountIn lost the increment: %d", got)
+		t.Fatalf("live counter family handle lost the increment: %d", got)
 	}
 }
 

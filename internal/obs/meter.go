@@ -63,8 +63,7 @@ type MeterStat struct {
 // MeterReport is the recorder's measured self-cost: wall time inside
 // recording methods by category, total records handled, and the bytes of
 // storage the recorder currently retains (slice capacities of the span/
-// event/outcome logs, histogram buckets, sample reservoirs and the snapshot
-// arena — the observer's actual footprint, not an estimate).
+// event/outcome logs, histogram buckets and the snapshot arena — the observer's actual footprint, not an estimate).
 type MeterReport struct {
 	WallNs        int64       `json:"wall_ns"`
 	Records       int64       `json:"records"`
@@ -95,8 +94,8 @@ func (r *Recorder) MeterReport() *MeterReport {
 }
 
 // RetainedBytes measures the storage the recorder currently holds: the
-// capacity of every retained log and of the registry's histogram buckets,
-// reservoirs and snapshot arena. This is the observer's resident footprint —
+// capacity of every retained log and of the registry's histogram buckets and
+// snapshot arena. This is the observer's resident footprint —
 // what Reset recycles and what a bounded-memory run (SpillSpans, retention
 // off) keeps flat.
 func (r *Recorder) RetainedBytes() int64 {

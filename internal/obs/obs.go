@@ -303,8 +303,8 @@ func NewRecorder() *Recorder {
 }
 
 // Reset empties the recorder in place while keeping every piece of storage
-// it has grown — span/event/outcome slabs, histogram bucket arrays, sample
-// reservoirs, the snapshot arena, instrument registrations and family rows.
+// it has grown — span/event/outcome slabs, histogram bucket arrays, the
+// snapshot arena, instrument registrations and family rows.
 // A reset recorder re-observing the same workload behaves byte-identically
 // to a fresh one and allocates nothing once its storage has warmed up: the
 // steady-state contract pinned by TestResetSteadyZeroAlloc and
@@ -386,24 +386,9 @@ func (r *Recorder) Metrics() *Registry {
 	return r.reg
 }
 
-// Span records one packet-journey span. The tap sees every span; retention
-// is subject to SetRetention and the sampler (see sample.go).
-func (r *Recorder) Span(s Span) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterSpan, time.Now())
-	}
-	if r.tap != nil {
-		r.tap.TapSpan(s)
-	}
-	if !r.discardSpans && r.keepPacket(s.Packet) {
-		r.retainSpan(s)
-	}
-}
-
-// PacketSpan records one packet-journey span from its fields.
+// PacketSpan records one packet-journey span from its fields. The tap sees
+// every span; retention is subject to SetRetention and the sampler (see
+// sample.go).
 func (r *Recorder) PacketSpan(packet int, dir Dir, layer Layer, step string,
 	src core.Source, start sim.Time, dur sim.Duration) {
 	if r == nil {
@@ -514,56 +499,25 @@ func (r *Recorder) withLive(f func()) {
 	f()
 }
 
-// Count adds delta to the named counter. No-op when disabled.
+// Count adds delta to the named counter through a one-shot handle (a map
+// lookup per call; hot paths keep a CounterH). No-op when disabled.
 func (r *Recorder) Count(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Counter(name).Add(delta)
-		r.live.Unlock()
-		return
-	}
-	r.reg.Counter(name).Add(delta)
+	h := r.CounterH(name)
+	h.Add(delta)
 }
 
-// SetGauge sets the named gauge. No-op when disabled.
+// SetGauge sets the named gauge through a one-shot handle. No-op when
+// disabled.
 func (r *Recorder) SetGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Gauge(name).Set(v)
-		r.live.Unlock()
-		return
-	}
-	r.reg.Gauge(name).Set(v)
+	h := r.GaugeH(name)
+	h.Set(v)
 }
 
-// Observe records a duration into the named timing (mean/std accumulator +
-// histograms). No-op when disabled.
+// Observe records a duration into the named timing's HDR histogram through a
+// one-shot handle. No-op when disabled.
 func (r *Recorder) Observe(name string, d sim.Duration) {
-	if r == nil {
-		return
-	}
-	if r.meter != nil {
-		defer r.meter.add(meterMetric, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Timing(name).Observe(d)
-		r.live.Unlock()
-		return
-	}
-	r.reg.Timing(name).Observe(d)
+	h := r.TimingH(name)
+	h.Observe(d)
 }
 
 // SlotSnapshot captures the state of every counter and gauge at a slot
@@ -573,16 +527,9 @@ func (r *Recorder) SlotSnapshot(t sim.Time) {
 	if r == nil {
 		return
 	}
-	if r.meter != nil {
-		defer r.meter.add(meterSnapshot, time.Now())
-	}
-	if r.live != nil {
-		r.live.Lock()
-		r.reg.Snapshot(t)
-		r.live.Unlock()
-		return
-	}
+	t0 := r.beginWrite()
 	r.reg.Snapshot(t)
+	r.endWrite(meterSnapshot, t0)
 }
 
 // Outcome records the resolution of one packet. Outcomes are never sampled:

@@ -19,9 +19,10 @@
 //
 //  3. Merging happens in shard order. Run returns results indexed by shard,
 //     and the merge helpers fold them left-to-right: counters add,
-//     LogHistograms merge exactly by bucket, Histogram reservoirs and
-//     Welford accumulators merge deterministically (their combination is
-//     order-sensitive only in float rounding, and the order is fixed).
+//     LogHistograms merge exactly by bucket, and Histogram reservoirs and
+//     Welford terms (Accumulators, LogHistogram std) merge deterministically
+//     (their combination is order-sensitive only in float rounding, and the
+//     order is fixed).
 //
 // Parallelism is therefore a pure wall-clock speedup, not a semantics
 // change: `-parallel 1` is the golden output of `-parallel N`.
