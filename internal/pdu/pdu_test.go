@@ -2,6 +2,7 @@ package pdu
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -436,5 +437,33 @@ func TestSegmentInfoStringsAndHeaderBytes(t *testing.T) {
 func TestPDCPHeaderBytes(t *testing.T) {
 	if PDCPSN12.HeaderBytes() != 2 || PDCPSN18.HeaderBytes() != 3 || PDCPSNBits(7).HeaderBytes() != 0 {
 		t.Fatal("PDCP header sizes wrong")
+	}
+}
+
+// TestReassembleIncompleteSentinel: only a genuine shortfall wraps
+// ErrIncomplete; inconsistent segments return a plain error.
+func TestReassembleIncompleteSentinel(t *testing.T) {
+	segs, _ := SegmentSDU(bytes.Repeat([]byte{7}, 100), 1, 40)
+	if len(segs) < 3 {
+		t.Fatalf("want ≥3 segments, got %d", len(segs))
+	}
+	cases := []struct {
+		name       string
+		segs       []RLCUMPDU
+		incomplete bool
+	}{
+		{"last missing", segs[:len(segs)-1], true},
+		{"gap", []RLCUMPDU{segs[0], segs[len(segs)-1]}, true},
+		{"overlap", append([]RLCUMPDU{segs[0]}, segs...), false},
+		{"two last", append([]RLCUMPDU{segs[len(segs)-1]}, segs...), false},
+	}
+	for _, c := range cases {
+		_, err := ReassembleSDU(append([]RLCUMPDU(nil), c.segs...))
+		if err == nil {
+			t.Fatalf("%s: reassembled", c.name)
+		}
+		if errors.Is(err, ErrIncomplete) != c.incomplete {
+			t.Fatalf("%s: %v, want incomplete = %v", c.name, err, c.incomplete)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package pdu
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"urllcsim/internal/bits"
 )
@@ -147,8 +150,18 @@ func SegmentSDU(sdu []byte, sn byte, maxPDU int) ([]RLCUMPDU, error) {
 	return out, nil
 }
 
-// ReassembleSDU inverts SegmentSDU given all segments of one SN (any order).
-// It verifies contiguity and returns the SDU.
+// ErrIncomplete reports that the segments of one SN are consistent but do not
+// yet cover an SDU: the last segment has not arrived, or bytes before its end
+// are still missing. A receiver keeps buffering on it. Every other
+// ReassembleSDU error means the buffered segments can never form an SDU,
+// whatever arrives next.
+var ErrIncomplete = errors.New("pdu: SDU incomplete")
+
+// ReassembleSDU inverts SegmentSDU given segments of one SN in any order; it
+// sorts segs by offset in place. It returns the SDU once the segments cover
+// it exactly, an error wrapping ErrIncomplete while they are a consistent
+// shortfall, and any other error when they overlap, carry two last segments
+// or reach past the last segment's end.
 func ReassembleSDU(segs []RLCUMPDU) ([]byte, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("pdu: no segments")
@@ -156,45 +169,37 @@ func ReassembleSDU(segs []RLCUMPDU) ([]byte, error) {
 	if len(segs) == 1 && segs[0].SI == SIFull {
 		return segs[0].Payload, nil
 	}
-	total := 0
+	slices.SortFunc(segs, func(a, b RLCUMPDU) int { return cmp.Compare(a.SO, b.SO) })
+	end := 0 // end of the segments seen so far, in offset order
+	gap := false
 	var last *RLCUMPDU
 	for i := range segs {
-		total += len(segs[i].Payload)
-		if segs[i].SI == SILast {
-			if last != nil {
-				return nil, fmt.Errorf("pdu: two last segments")
-			}
-			last = &segs[i]
+		s := &segs[i]
+		so := int(s.SO)
+		switch {
+		case s.SI == SIFirst && so != 0:
+			return nil, fmt.Errorf("pdu: first segment with SO=%d", so)
+		case last != nil:
+			return nil, fmt.Errorf("pdu: segment at byte %d past the last segment", so)
+		case so < end:
+			return nil, fmt.Errorf("pdu: overlapping segments at byte %d", so)
+		case so > end:
+			gap = true
+		}
+		end = so + len(s.Payload)
+		if s.SI == SILast {
+			last = s
 		}
 	}
 	if last == nil {
-		return nil, fmt.Errorf("pdu: last segment missing")
+		return nil, fmt.Errorf("%w: last segment missing", ErrIncomplete)
 	}
-	if want := int(last.SO) + len(last.Payload); want != total {
-		return nil, fmt.Errorf("pdu: segments cover %dB, last ends at %dB", total, want)
+	if gap {
+		return nil, fmt.Errorf("%w: gap before byte %d", ErrIncomplete, end)
 	}
-	out := make([]byte, total)
-	seen := make([]bool, total)
-	for i := range segs {
-		so := int(segs[i].SO)
-		if segs[i].SI == SIFirst && so != 0 {
-			return nil, fmt.Errorf("pdu: first segment with SO=%d", so)
-		}
-		if so+len(segs[i].Payload) > total {
-			return nil, fmt.Errorf("pdu: segment overruns SDU")
-		}
-		copy(out[so:], segs[i].Payload)
-		for j := so; j < so+len(segs[i].Payload); j++ {
-			if seen[j] {
-				return nil, fmt.Errorf("pdu: overlapping segments at byte %d", j)
-			}
-			seen[j] = true
-		}
-	}
-	for j, s := range seen {
-		if !s {
-			return nil, fmt.Errorf("pdu: gap at byte %d", j)
-		}
+	out := make([]byte, 0, end)
+	for _, s := range segs {
+		out = append(out, s.Payload...)
 	}
 	return out, nil
 }

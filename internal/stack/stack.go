@@ -11,8 +11,9 @@
 package stack
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
-	"strings"
 
 	"urllcsim/internal/crypto5g"
 	"urllcsim/internal/pdu"
@@ -223,7 +224,10 @@ func (r *RLC) Segment(sdu []byte, maxPDU int) ([][]byte, error) {
 }
 
 // Receive ingests one RLC PDU; when it completes an SDU, the SDU is
-// returned (nil otherwise).
+// returned (nil otherwise). An exact duplicate of a buffered segment is
+// ignored. Segments that can never form an SDU — overlapping, or past the
+// last segment — drop the SN's buffer and return an error, so a stale
+// buffer cannot swallow the next SDU that reuses the SN.
 func (r *RLC) Receive(buf []byte) ([]byte, error) {
 	p, err := pdu.DecodeRLCUM(buf)
 	if err != nil {
@@ -232,27 +236,20 @@ func (r *RLC) Receive(buf []byte) ([]byte, error) {
 	if p.SI == pdu.SIFull {
 		return p.Payload, nil
 	}
-	r.rx[p.SN] = append(r.rx[p.SN], p)
 	segs := r.rx[p.SN]
-	sdu, err := pdu.ReassembleSDU(segs)
-	if err != nil {
-		// Incomplete: keep buffering. Only genuine inconsistencies
-		// (overlap, double-last) are fatal.
-		if isIncomplete(err) {
+	for _, s := range segs {
+		if s.SI == p.SI && s.SO == p.SO && bytes.Equal(s.Payload, p.Payload) {
 			return nil, nil
 		}
-		delete(r.rx, p.SN)
-		return nil, err
+	}
+	segs = append(segs, p)
+	r.rx[p.SN] = segs
+	sdu, err := pdu.ReassembleSDU(segs)
+	if errors.Is(err, pdu.ErrIncomplete) {
+		return nil, nil
 	}
 	delete(r.rx, p.SN)
-	return sdu, nil
-}
-
-func isIncomplete(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "last segment missing") ||
-		strings.Contains(s, "gap at byte") ||
-		strings.Contains(s, "segments cover")
+	return sdu, err
 }
 
 // MAC multiplexes RLC PDUs of one logical channel into transport blocks.
