@@ -3,10 +3,11 @@ GO ?= go
 .PHONY: check vet build test race bench perfbench-test lint report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke
 
 ## check: full verification gate — lint (vet + gofmt), build, race-enabled tests,
-## the parallel-vs-sequential sweep invariance smoke, the flight-recorder
-## no-interference smoke, the dimensional-KPI smoke, the many-UE cell smoke,
-## the sampling/observer-tax smoke, and the benchmark's own test suite
-check: lint build race sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke perfbench-test
+## the JSONL → urllc-report round-trip smoke, the parallel-vs-sequential sweep
+## invariance smoke, the flight-recorder no-interference smoke, the
+## dimensional-KPI smoke, the many-UE cell smoke, the sampling/observer-tax
+## smoke, and the benchmark's own test suite
+check: lint build race report-smoke sweep-smoke flight-smoke kpi-smoke cell-smoke obs-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...

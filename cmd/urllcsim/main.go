@@ -23,6 +23,20 @@ import (
 	"urllcsim/internal/version"
 )
 
+// checkTraffic rejects traffic flags that would offer no packets or divide
+// by zero: the UE count must be positive and the direction one of ul, dl,
+// both.
+func checkTraffic(ues int, dir string) error {
+	if ues < 1 {
+		return fmt.Errorf("-ues must be at least 1, got %d", ues)
+	}
+	switch dir {
+	case "ul", "dl", "both":
+		return nil
+	}
+	return fmt.Errorf("unknown dir %q (want ul, dl or both)", dir)
+}
+
 func main() {
 	pattern := flag.String("pattern", "DDDU", "DDDU | DM | MU | DU | mini-slot | FDD")
 	slot := flag.String("slot", "0.5ms", "slot duration: 1ms | 0.5ms | 0.25ms | 125us")
@@ -78,6 +92,10 @@ func main() {
 	rk, ok := radios[*radioKind]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown radio %q\n", *radioKind)
+		os.Exit(2)
+	}
+	if err := checkTraffic(*ues, *dir); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
