@@ -14,9 +14,9 @@ import (
 // wider than max(1, v/subBuckets): quantiles are exact to one part in
 // subBuckets (≈0.1 %) of the value, independent of the sample count.
 //
-// Unlike Histogram, LogHistogram retains no raw samples — memory is
-// O(buckets touched), bounded by the dynamic range of the data and never by
-// the run length — and two LogHistograms merge exactly (bucket geometry is a
+// LogHistogram retains no raw samples — memory is O(buckets touched),
+// bounded by the dynamic range of the data and never by the run length —
+// and two LogHistograms merge exactly (bucket geometry is a
 // package constant), so per-UE or per-shard histograms combine into a fleet
 // histogram without loss. This is the machinery the p99.999 URLLC
 // reliability tail needs on runs of millions of packets.
@@ -189,9 +189,8 @@ func (h *LogHistogram) Max() int64 {
 	return h.max
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) under the same floor-index
-// nearest-rank rule as Histogram.Percentile: the bucket holding the sample
-// at rank ⌊q·(n−1)⌋. The returned value is the bucket midpoint clamped into
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) under the floor-index
+// nearest-rank rule: the bucket holding the sample at rank ⌊q·(n−1)⌋. The returned value is the bucket midpoint clamped into
 // [Min, Max], so it is within one bucket width of the exact-rank sample;
 // q ≤ 0 and q ≥ 1 return the exact extrema. An empty histogram returns 0.
 func (h *LogHistogram) Quantile(q float64) int64 {

@@ -245,50 +245,3 @@ func TestLogIndexRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramReservoirCap: past SampleCap the fixed-bin histogram must
-// stop growing, keep Mean/N exact, and keep percentile estimates close on a
-// stable distribution.
-func TestHistogramReservoirCap(t *testing.T) {
-	h := NewHistogram(10, 100)
-	r := lcg(3)
-	n := SampleCap + 50_000
-	for i := 0; i < n; i++ {
-		h.Add(float64(r.next()%10_000) / 1000) // uniform 0–10
-	}
-	if h.Retained() != SampleCap {
-		t.Fatalf("retained %d samples, want cap %d", h.Retained(), SampleCap)
-	}
-	if h.N() != int64(n) {
-		t.Fatalf("N = %d, want %d", h.N(), n)
-	}
-	if got := h.Mean(); math.Abs(got-5) > 0.05 {
-		t.Fatalf("mean = %v, want ≈5 (exact running sum)", got)
-	}
-	// Reservoir percentile of uniform(0,10): p50 ≈ 5 within sampling noise.
-	if got := h.Percentile(0.5); math.Abs(got-5) > 0.2 {
-		t.Fatalf("reservoir p50 = %v, want ≈5", got)
-	}
-	if got := h.FractionBelow(1); math.Abs(got-0.1) > 0.02 {
-		t.Fatalf("reservoir FractionBelow(1) = %v, want ≈0.1", got)
-	}
-}
-
-// TestHistogramReservoirDeterministic: two identical runs must retain the
-// identical reservoir — reproducibility is a repo-wide hard requirement.
-func TestHistogramReservoirDeterministic(t *testing.T) {
-	build := func() *Histogram {
-		h := NewHistogram(10, 10)
-		r := lcg(42)
-		for i := 0; i < SampleCap+10_000; i++ {
-			h.Add(float64(r.next()%10_000) / 1000)
-		}
-		return h
-	}
-	a, b := build(), build()
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if a.Percentile(q) != b.Percentile(q) {
-			t.Fatalf("reservoir not deterministic at q=%v: %v ≠ %v", q, a.Percentile(q), b.Percentile(q))
-		}
-	}
-}

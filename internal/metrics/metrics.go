@@ -1,13 +1,13 @@
 // Package metrics provides the measurement machinery of the benchmark
-// harness: streaming mean/std accumulators (Table 2), latency histograms and
-// CDFs (Fig. 6), percentile and reliability estimation (the 99.999 %
-// requirement), and ASCII rendering for terminal reports.
+// harness: streaming mean/std accumulators (Table 2), LogHistogram — the one
+// latency sketch every percentile and tail in the repository is read from —
+// fixed-bin Fig. 6 histograms layered on it, reliability bookkeeping (the
+// 99.999 % requirement), and ASCII rendering for terminal reports.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"urllcsim/internal/sim"
@@ -99,28 +99,16 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// SampleCap bounds the raw samples a Histogram retains for percentile
-// estimation. Up to SampleCap observations the retained set is complete and
-// Percentile/FractionBelow are exact; beyond it the histogram switches to
-// reservoir sampling (Vitter's algorithm R with a deterministic splitmix64
-// stream, so runs stay reproducible): every observation has an equal chance
-// of being retained, and percentiles become estimates whose error shrinks
-// as O(1/√SampleCap) — at 65536 retained samples the p99 estimate is good
-// to roughly ±0.04 percentile points, while memory stays bounded for
-// arbitrarily long runs. Tails beyond p99.9 need more resolution than any
-// fixed-size reservoir can give: use LogHistogram for those.
-const SampleCap = 1 << 16
-
-// Histogram is a fixed-bin latency histogram over [0, Max) with overflow
-// counted separately. Bin width = Max/Bins.
+// Histogram is a fixed-bin latency histogram in milliseconds over [0, Max)
+// with overflow counted separately (bin width = Max/Bins) — the exact bins
+// Fig. 6's ASCII plot draws. Alongside the bins it keeps an HDR LogHistogram
+// of the same values in nanoseconds, which supplies N, the exact Mean and
+// Percentile to within one part in 1024.
 type Histogram struct {
 	MaxValue float64
 	Counts   []int64
 	Overflow int64
-	total    int64
-	sum      float64   // exact running sum (Mean stays exact past SampleCap)
-	samples  []float64 // retained for percentiles, reservoir-capped at SampleCap
-	rngState uint64    // splitmix64 state for the reservoir (deterministic)
+	lat      LogHistogram // every recorded value, ns
 }
 
 // NewHistogram returns a histogram over [0, max) with the given bin count.
@@ -131,18 +119,13 @@ func NewHistogram(max float64, bins int) *Histogram {
 	return &Histogram{MaxValue: max, Counts: make([]int64, bins)}
 }
 
-// Add records one value. Binning clamps negatives into bin 0 and counts
-// x ≥ MaxValue (boundary included) as overflow; the raw sample is retained
-// unclamped either way (reservoir-sampled past SampleCap), so
-// Percentile/Mean/FractionBelow see true values.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	if len(h.samples) < SampleCap {
-		h.samples = append(h.samples, x)
-	} else if j := h.nextRand() % uint64(h.total); j < SampleCap {
-		h.samples[j] = x
-	}
+// AddDuration records a duration, binned in milliseconds (Fig. 6's axis
+// unit). Binning clamps negatives into bin 0 and counts x ≥ MaxValue
+// (boundary included) as overflow; the HDR side records the true value
+// either way, so Percentile and Mean see it.
+func (h *Histogram) AddDuration(d sim.Duration) {
+	h.lat.AddDuration(d)
+	x := float64(d) / 1e6
 	if x < 0 {
 		x = 0
 	}
@@ -157,26 +140,8 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 }
 
-// nextRand advances the histogram's private splitmix64 stream. A fixed-seed
-// PRNG (not the simulation RNG) keeps reservoir decisions deterministic per
-// histogram without threading a seed through every construction site.
-func (h *Histogram) nextRand() uint64 {
-	h.rngState += 0x9E3779B97F4A7C15
-	z := h.rngState
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// Retained returns how many raw samples are currently held (= N up to
-// SampleCap, then pinned at SampleCap).
-func (h *Histogram) Retained() int { return len(h.samples) }
-
-// AddDuration records a duration in milliseconds (Fig. 6's axis unit).
-func (h *Histogram) AddDuration(d sim.Duration) { h.Add(float64(d) / 1e6) }
-
 // N returns the number of recorded values.
-func (h *Histogram) N() int64 { return h.total }
+func (h *Histogram) N() int64 { return h.lat.N() }
 
 // BinCenter returns the centre value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
@@ -187,67 +152,47 @@ func (h *Histogram) BinCenter(i int) float64 {
 // Probability returns the fraction of samples in bin i — the y-axis of
 // Fig. 6.
 func (h *Histogram) Probability(i int) float64 {
-	if h.total == 0 {
+	if h.N() == 0 {
 		return 0
 	}
-	return float64(h.Counts[i]) / float64(h.total)
+	return float64(h.Counts[i]) / float64(h.N())
 }
 
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of the retained samples
-// using the floor-index nearest-rank rule: the sample at index ⌊p·(n−1)⌋ of
-// the sorted data. No interpolation — the result is always an observed
-// value, and p = 0.5 over an even count returns the lower middle sample.
-// p ≤ 0 yields the minimum, p ≥ 1 the maximum, and an empty histogram 0.
-// Exact while N ≤ SampleCap; beyond that the retained set is a uniform
-// reservoir and the result is an unbiased estimate (see SampleCap for the
-// accuracy trade-off).
+// Percentile returns the p-quantile (0 ≤ p ≤ 1) in milliseconds under
+// LogHistogram.Quantile's floor-index nearest-rank rule: p ≤ 0 and p ≥ 1
+// yield the exact minimum and maximum, interior quantiles are within one HDR
+// bucket width (≤ 1/1024 of the value) of the exact-rank sample, and an
+// empty histogram yields 0.
 func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(h.samples))
-	copy(s, h.samples)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 1 {
-		return s[len(s)-1]
-	}
-	i := int(p * float64(len(s)-1))
-	return s[i]
+	return float64(h.lat.Quantile(p)) / 1e6
 }
 
-// FractionBelow returns the share of retained samples strictly below x —
-// e.g. the "sub-millisecond 4.4 % of the time" statistic for mmWave. Exact
-// while N ≤ SampleCap, a reservoir estimate beyond (see SampleCap).
+// FractionBelow returns the share of samples strictly below x — e.g. the
+// "sub-millisecond 4.4 % of the time" statistic for mmWave. It sums whole
+// bins, which is exact because x must be a bin edge in (0, MaxValue]; any
+// other x panics, like a geometry mismatch in Merge.
 func (h *Histogram) FractionBelow(x float64) float64 {
-	if len(h.samples) == 0 {
+	edge := x / h.MaxValue * float64(len(h.Counts))
+	k := int(edge)
+	if float64(k) != edge || k < 1 || k > len(h.Counts) {
+		panic(fmt.Sprintf("metrics: FractionBelow(%v) is not a bin edge", x))
+	}
+	if h.N() == 0 {
 		return 0
 	}
-	n := 0
-	for _, v := range h.samples {
-		if v < x {
-			n++
-		}
+	var below int64
+	for _, c := range h.Counts[:k] {
+		below += c
 	}
-	return float64(n) / float64(len(h.samples))
+	return float64(below) / float64(h.N())
 }
 
-// Merge folds o into h: bin counts, overflow, N and the running sum add
-// exactly (Mean stays exact past any reservoir), and the retained-sample
-// reservoirs combine deterministically. While the combined sample sets fit
-// under SampleCap the merge simply concatenates them — identical to a
-// histogram that observed h's stream followed by o's. Past the cap the
-// merged reservoir is drawn from both sides without replacement, picking
-// each next sample from a side with probability proportional to the
-// population that side still represents (each retained sample stands for
-// total/retained observations), so inclusion stays uniform across the union.
-// All randomness comes from h's private splitmix64 stream: merging the same
-// shards in the same order is bit-reproducible for any worker layout.
-// Histograms must share geometry (MaxValue, bin count); o is left untouched.
+// Merge folds o into h exactly: bin counts and overflow add, and the HDR
+// side merges bucket-for-bucket, so h ends up equal to a histogram that saw
+// both value streams. Histograms must share geometry (MaxValue, bin count);
+// o is left untouched.
 func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.total == 0 {
+	if o == nil || o.N() == 0 {
 		return
 	}
 	if h.MaxValue != o.MaxValue || len(h.Counts) != len(o.Counts) {
@@ -257,57 +202,11 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.Counts[i] += c
 	}
 	h.Overflow += o.Overflow
-	if len(h.samples)+len(o.samples) <= SampleCap {
-		h.samples = append(h.samples, o.samples...)
-	} else {
-		h.samples = h.mergeReservoirs(o)
-	}
-	h.total += o.total
-	h.sum += o.sum
+	h.lat.Merge(&o.lat)
 }
 
-// mergeReservoirs draws SampleCap samples from the union of the two
-// reservoirs (see Merge for the sampling contract). Called only when the
-// combined retained sets exceed SampleCap, which implies both sides are
-// non-empty.
-func (h *Histogram) mergeReservoirs(o *Histogram) []float64 {
-	a := h.samples
-	b := make([]float64, len(o.samples))
-	copy(b, o.samples)
-	// Per-sample weights: how many observations one retained sample of each
-	// side represents.
-	wa := float64(h.total) / float64(len(a))
-	wb := float64(o.total) / float64(len(b))
-	remA, remB := float64(h.total), float64(o.total)
-	out := make([]float64, 0, SampleCap)
-	for len(out) < SampleCap {
-		// float53 in [0,1) from the reservoir stream.
-		u := float64(h.nextRand()>>11) / (1 << 53)
-		if (u*(remA+remB) < remA || len(b) == 0) && len(a) > 0 {
-			j := int(h.nextRand() % uint64(len(a)))
-			out = append(out, a[j])
-			a[j] = a[len(a)-1]
-			a = a[:len(a)-1]
-			remA -= wa
-		} else {
-			j := int(h.nextRand() % uint64(len(b)))
-			out = append(out, b[j])
-			b[j] = b[len(b)-1]
-			b = b[:len(b)-1]
-			remB -= wb
-		}
-	}
-	return out
-}
-
-// Mean returns the exact sample mean over all recorded values (a running
-// sum, unaffected by the sample reservoir).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
+// Mean returns the exact sample mean in milliseconds (0 when empty).
+func (h *Histogram) Mean() float64 { return h.lat.Mean() / 1e6 }
 
 // ASCII renders the histogram as rows of "center | bar count" with width
 // proportional to probability (Fig. 6 in a terminal).
@@ -329,7 +228,7 @@ func (h *Histogram) ASCII(width int) string {
 	}
 	if h.Overflow > 0 {
 		fmt.Fprintf(&sb, ">%6.2f | overflow %d (%.4f)\n", h.MaxValue, h.Overflow,
-			float64(h.Overflow)/float64(h.total))
+			float64(h.Overflow)/float64(h.N()))
 	}
 	return sb.String()
 }

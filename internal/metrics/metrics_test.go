@@ -70,13 +70,16 @@ func TestPropertyAccumulatorMatchesTwoPass(t *testing.T) {
 	}
 }
 
+// ms converts a millisecond value (Fig. 6's axis unit) to a duration.
+func ms(x float64) sim.Duration { return sim.Duration(math.Round(x * 1e6)) }
+
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram(8, 16) // Fig. 6's 0–8 ms axis
-	h.Add(0.1)
-	h.Add(0.49) // same bin (width 0.5)
-	h.Add(0.51)
-	h.Add(7.99)
-	h.Add(9.5) // overflow
+	h.AddDuration(ms(0.1))
+	h.AddDuration(ms(0.49)) // same bin (width 0.5)
+	h.AddDuration(ms(0.51))
+	h.AddDuration(ms(7.99))
+	h.AddDuration(ms(9.5)) // overflow
 	if h.N() != 5 {
 		t.Fatalf("N = %d", h.N())
 	}
@@ -93,7 +96,7 @@ func TestHistogramBinning(t *testing.T) {
 
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram(1, 4)
-	h.Add(-0.5)
+	h.AddDuration(ms(-0.5))
 	if h.Counts[0] != 1 {
 		t.Fatal("negative value not clamped into bin 0")
 	}
@@ -102,7 +105,7 @@ func TestHistogramNegativeClamped(t *testing.T) {
 func TestHistogramPercentiles(t *testing.T) {
 	h := NewHistogram(100, 10)
 	for i := 1; i <= 100; i++ {
-		h.Add(float64(i))
+		h.AddDuration(ms(float64(i)))
 	}
 	if p := h.Percentile(0.5); p < 49 || p > 52 {
 		t.Fatalf("p50 = %v", p)
@@ -113,8 +116,8 @@ func TestHistogramPercentiles(t *testing.T) {
 	if p := h.Percentile(1); p != 100 {
 		t.Fatalf("p100 = %v", p)
 	}
-	if got := h.FractionBelow(11); math.Abs(got-0.10) > 1e-12 {
-		t.Fatalf("FractionBelow(11) = %v", got)
+	if got := h.FractionBelow(10); math.Abs(got-0.09) > 1e-12 {
+		t.Fatalf("FractionBelow(10) = %v", got)
 	}
 	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
 		t.Fatalf("mean = %v", got)
@@ -123,7 +126,9 @@ func TestHistogramPercentiles(t *testing.T) {
 
 // TestPercentileEdgeCases pins the documented floor-index nearest-rank
 // semantics across the awkward inputs: empty data, a single sample, heavy
-// duplicates, even counts, and out-of-range p.
+// duplicates, even counts, and out-of-range p. The extrema (p ≤ 0, p ≥ 1)
+// are exact; interior quantiles are within one HDR bucket width of the
+// exact-rank sample.
 func TestPercentileEdgeCases(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -149,10 +154,15 @@ func TestPercentileEdgeCases(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			h := NewHistogram(1000, 10)
 			for _, x := range c.samples {
-				h.Add(x)
+				h.AddDuration(ms(x))
 			}
-			if got := h.Percentile(c.p); got != c.want {
-				t.Fatalf("Percentile(%v) over %v = %v, want %v", c.p, c.samples, got, c.want)
+			got := h.Percentile(c.p)
+			tol := 0.0
+			if c.p > 0 && c.p < 1 {
+				tol = float64(h.lat.BucketWidth(int64(ms(c.want)))) / 1e6
+			}
+			if math.Abs(got-c.want) > tol {
+				t.Fatalf("Percentile(%v) over %v = %v, want %v ± %v", c.p, c.samples, got, c.want, tol)
 			}
 		})
 	}
@@ -170,15 +180,15 @@ func seq(lo, hi int) []float64 {
 // x == MaxValue must not index one past the last bin.
 func TestHistogramOverflowBoundary(t *testing.T) {
 	h := NewHistogram(8, 16)
-	h.Add(8)                    // exactly MaxValue
-	h.Add(math.Nextafter(8, 0)) // just below
+	h.AddDuration(8 * sim.Millisecond)                // exactly MaxValue
+	h.AddDuration(8*sim.Millisecond - sim.Nanosecond) // just below
 	if h.Overflow != 1 {
 		t.Fatalf("x == MaxValue not counted as overflow: %+v", h)
 	}
 	if h.Counts[15] != 1 {
 		t.Fatalf("x just below MaxValue missed last bin: %v", h.Counts)
 	}
-	// The raw sample is retained, so percentiles still see the boundary value.
+	// The HDR side keeps the true value, so percentiles still see it.
 	if got := h.Percentile(1); got != 8 {
 		t.Fatalf("p100 = %v, want 8", got)
 	}
@@ -187,16 +197,55 @@ func TestHistogramOverflowBoundary(t *testing.T) {
 // TestHistogramNegativeSamplesRetained: binning clamps, statistics don't.
 func TestHistogramNegativeSamplesRetained(t *testing.T) {
 	h := NewHistogram(1, 4)
-	h.Add(-2)
-	h.Add(2) // overflow bin-wise
+	h.AddDuration(ms(-2))
+	h.AddDuration(ms(2)) // overflow bin-wise
 	if h.Counts[0] != 1 || h.Overflow != 1 {
 		t.Fatalf("binning wrong: %+v", h)
 	}
 	if h.Percentile(0) != -2 || h.Mean() != 0 {
-		t.Fatalf("raw samples not retained: p0=%v mean=%v", h.Percentile(0), h.Mean())
+		t.Fatalf("true values not kept: p0=%v mean=%v", h.Percentile(0), h.Mean())
 	}
-	if got := h.FractionBelow(0); got != 0.5 {
-		t.Fatalf("FractionBelow(0) = %v, want 0.5", got)
+	if got := h.FractionBelow(1); got != 0.5 {
+		t.Fatalf("FractionBelow(1) = %v, want 0.5", got)
+	}
+}
+
+// TestHistogramFractionBelowExact: for both Fig. 6 geometries in use (8 ms /
+// 32 bins and 20 ms / 40 bins), 1 ms is a bin edge and FractionBelow(1)
+// equals a brute-force strictly-below count, including at the nanoseconds
+// around the edge, a negative value and an overflow value.
+func TestHistogramFractionBelowExact(t *testing.T) {
+	for _, g := range []struct {
+		max  float64
+		bins int
+	}{{8, 32}, {20, 40}} {
+		h := NewHistogram(g.max, g.bins)
+		vals := []sim.Duration{-sim.Millisecond, sim.Duration(g.max*1e6) + 1}
+		for ns := sim.Duration(999_000); ns <= 1_001_000; ns += 7 {
+			vals = append(vals, ns)
+		}
+		vals = append(vals, 999_999, sim.Millisecond, 1_000_001)
+		below := 0
+		for _, v := range vals {
+			h.AddDuration(v)
+			if v < sim.Millisecond {
+				below++
+			}
+		}
+		want := float64(below) / float64(len(vals))
+		if got := h.FractionBelow(1); got != want {
+			t.Fatalf("%v/%d: FractionBelow(1) = %v, brute force %v", g.max, g.bins, got, want)
+		}
+	}
+	for _, x := range []float64{0, 1.1, 0.3, 8.25, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("FractionBelow(%v) off a bin edge accepted", x)
+				}
+			}()
+			NewHistogram(8, 32).FractionBelow(x)
+		}()
 	}
 }
 
@@ -241,10 +290,10 @@ func TestHistogramAddDurationMs(t *testing.T) {
 
 func TestHistogramASCII(t *testing.T) {
 	h := NewHistogram(2, 4)
-	h.Add(0.1)
-	h.Add(0.2)
-	h.Add(1.1)
-	h.Add(5) // overflow
+	h.AddDuration(ms(0.1))
+	h.AddDuration(ms(0.2))
+	h.AddDuration(ms(1.1))
+	h.AddDuration(ms(5)) // overflow
 	s := h.ASCII(20)
 	if !strings.Contains(s, "#") || !strings.Contains(s, "overflow") {
 		t.Fatalf("ASCII rendering:\n%s", s)
@@ -259,7 +308,6 @@ func TestHistogramPanicsOnBadArgs(t *testing.T) {
 	}()
 	NewHistogram(0, 10)
 }
-
 func TestReliability(t *testing.T) {
 	r := Reliability{Deadline: 500 * sim.Microsecond}
 	for i := 0; i < 99999; i++ {
@@ -358,87 +406,33 @@ func TestAccumulatorMergeEmptySides(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeUnderCapIsConcatenation: while the combined retained sets
-// fit under SampleCap, a merged histogram retains exactly the concatenation of
-// both streams — bins, overflow, N and every sample match a histogram that
-// observed both streams sequentially. (Only the running float sum may differ
-// in the last bits, because merging adds two partial sums instead of 2000
-// individual values.)
-func TestHistogramMergeUnderCapIsConcatenation(t *testing.T) {
+// TestHistogramMergeMatchesSingleFeed: merging shard histograms equals one
+// histogram that saw every value — same bins, overflow, N and Mean, and the
+// same percentiles.
+func TestHistogramMergeMatchesSingleFeed(t *testing.T) {
 	rng := sim.NewRNG(11)
-	seq := NewHistogram(8, 32)
-	a := NewHistogram(8, 32)
-	b := NewHistogram(8, 32)
-	var xs []float64
+	whole := NewHistogram(8, 32)
+	shards := []*Histogram{NewHistogram(8, 32), NewHistogram(8, 32), NewHistogram(8, 32)}
 	for i := 0; i < 2000; i++ {
-		xs = append(xs, rng.Uniform(0, 10)) // includes overflow values
+		d := ms(rng.Uniform(0, 10)) // includes overflow values
+		whole.AddDuration(d)
+		shards[i%len(shards)].AddDuration(d)
 	}
-	for _, x := range xs[:800] {
-		seq.Add(x)
-		a.Add(x)
+	merged := NewHistogram(8, 32)
+	for _, s := range shards {
+		merged.Merge(s)
 	}
-	for _, x := range xs[800:] {
-		seq.Add(x)
-		b.Add(x)
+	if !reflect.DeepEqual(merged.Counts, whole.Counts) || merged.Overflow != whole.Overflow || merged.N() != whole.N() {
+		t.Fatalf("merged bins differ from single feed:\nmerged %v +%d\nsingle %v +%d",
+			merged.Counts, merged.Overflow, whole.Counts, whole.Overflow)
 	}
-	a.Merge(b)
-	if !reflect.DeepEqual(a.Counts, seq.Counts) || a.Overflow != seq.Overflow || a.N() != seq.N() {
-		t.Fatalf("under-cap merge bins differ from sequential feed:\nmerged %v +%d\nsequential %v +%d",
-			a.Counts, a.Overflow, seq.Counts, seq.Overflow)
+	if merged.Mean() != whole.Mean() {
+		t.Fatalf("merged mean %v, single feed %v", merged.Mean(), whole.Mean())
 	}
-	if a.Retained() != seq.Retained() || a.Percentile(0) != seq.Percentile(0) || a.Percentile(1) != seq.Percentile(1) {
-		t.Fatalf("under-cap merge must retain every sample: %d vs %d", a.Retained(), seq.Retained())
-	}
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if a.Percentile(p) != seq.Percentile(p) {
-			t.Fatalf("p%v differs: %v vs %v", p*100, a.Percentile(p), seq.Percentile(p))
+	for _, p := range []float64{0, 0.5, 0.95, 1} {
+		if merged.Percentile(p) != whole.Percentile(p) {
+			t.Fatalf("p%v differs: merged %v, single feed %v", p*100, merged.Percentile(p), whole.Percentile(p))
 		}
-	}
-	if math.Abs(a.Mean()-seq.Mean()) > 1e-12 {
-		t.Fatalf("merged mean %v, sequential %v", a.Mean(), seq.Mean())
-	}
-}
-
-// TestHistogramMergeOverCap: past SampleCap the reservoirs combine into a
-// bounded, deterministic, representative sample while N and Mean stay exact.
-func TestHistogramMergeOverCap(t *testing.T) {
-	build := func() (*Histogram, *Histogram) {
-		a := NewHistogram(8, 32)
-		b := NewHistogram(8, 32)
-		ra := sim.NewRNG(1)
-		rb := sim.NewRNG(2)
-		for i := 0; i < 40000; i++ {
-			a.Add(ra.Uniform(0, 1))
-			b.Add(rb.Uniform(2, 3))
-		}
-		return a, b
-	}
-	a, b := build()
-	exactMean := (a.Mean()*float64(a.N()) + b.Mean()*float64(b.N())) / float64(a.N()+b.N())
-	a.Merge(b)
-	if a.N() != 80000 {
-		t.Fatalf("merged N = %d, want 80000", a.N())
-	}
-	if a.Retained() != SampleCap {
-		t.Fatalf("merged reservoir holds %d samples, want the %d cap", a.Retained(), SampleCap)
-	}
-	if math.Abs(a.Mean()-exactMean) > 1e-12 {
-		t.Fatalf("merged mean %v, exact %v — Mean must not depend on the reservoir", a.Mean(), exactMean)
-	}
-	// Equal totals and equal retained counts → uniform draw from the union:
-	// about half the reservoir comes from each side's disjoint value range.
-	if got := a.FractionBelow(1.5); math.Abs(got-0.5) > 0.02 {
-		t.Fatalf("reservoir unrepresentative: FractionBelow(1.5) = %v, want ≈0.5", got)
-	}
-	// Bin counts merged exactly regardless of sampling.
-	if a.Counts[0] == 0 || a.Counts[8] == 0 {
-		t.Fatalf("merged bins lost a side: %v", a.Counts)
-	}
-	// Determinism: the identical merge reproduces the identical reservoir.
-	c, d := build()
-	c.Merge(d)
-	if !reflect.DeepEqual(a, c) {
-		t.Fatal("repeating the same merge produced a different reservoir")
 	}
 }
 
@@ -450,15 +444,15 @@ func TestHistogramMergeGeometryPanics(t *testing.T) {
 	}()
 	a := NewHistogram(8, 32)
 	b := NewHistogram(8, 16)
-	b.Add(1)
+	b.AddDuration(sim.Millisecond)
 	a.Merge(b)
 }
 
 func TestHistogramMergeEmptyAndNil(t *testing.T) {
 	a := NewHistogram(8, 32)
-	a.Add(1)
+	a.AddDuration(sim.Millisecond)
 	want := NewHistogram(8, 32)
-	want.Add(1)
+	want.AddDuration(sim.Millisecond)
 	a.Merge(nil)
 	a.Merge(NewHistogram(8, 32))
 	if !reflect.DeepEqual(a, want) {

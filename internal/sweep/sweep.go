@@ -18,11 +18,11 @@
 //     stream whether it runs first on one worker or last on sixteen.
 //
 //  3. Merging happens in shard order. Run returns results indexed by shard,
-//     and the merge helpers fold them left-to-right: counters add,
-//     LogHistograms merge exactly by bucket, and Histogram reservoirs and
-//     Welford terms (Accumulators, LogHistogram std) merge deterministically
-//     (their combination is order-sensitive only in float rounding, and the
-//     order is fixed).
+//     and the merge helpers fold them left-to-right: counters, Histogram
+//     bins and LogHistogram buckets add exactly, and Welford terms
+//     (Accumulators, LogHistogram std) merge deterministically (their
+//     combination is order-sensitive only in float rounding, and the order
+//     is fixed).
 //
 // Parallelism is therefore a pure wall-clock speedup, not a semantics
 // change: `-parallel 1` is the golden output of `-parallel N`.
@@ -126,8 +126,9 @@ func MergeRegistries(shards []*obs.Registry) *obs.Registry {
 }
 
 // MergeHistograms folds shard histograms into one fresh histogram with the
-// given geometry, in shard order. Shard histograms must share that geometry.
-// Nil shards are skipped.
+// given geometry, in shard order. The merge is exact: bins, N, Mean and
+// percentiles equal those of one histogram that saw every shard's values.
+// Shard histograms must share that geometry. Nil shards are skipped.
 func MergeHistograms(max float64, bins int, shards []*metrics.Histogram) *metrics.Histogram {
 	merged := metrics.NewHistogram(max, bins)
 	for _, s := range shards {

@@ -103,7 +103,7 @@ func shardWork(shard int) (*obs.Registry, *metrics.Histogram, *metrics.LogHistog
 // shard results of a sweep yields bit-identical registries and histograms for
 // any worker count. The 1-worker run is the golden output; 2 and 8 workers
 // must reproduce it exactly (reflect.DeepEqual follows every unexported
-// field, including reservoir contents and RNG states).
+// field, including the histograms' HDR bucket arrays).
 func TestWorkerCountInvariance(t *testing.T) {
 	type out struct {
 		reg  *obs.Registry
