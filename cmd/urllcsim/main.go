@@ -24,9 +24,12 @@ import (
 )
 
 // checkTraffic rejects traffic flags that would offer no packets or divide
-// by zero: the UE count must be positive and the direction one of ul, dl,
-// both.
-func checkTraffic(ues int, dir string) error {
+// by zero: the packet and UE counts must be positive and the direction one
+// of ul, dl, both.
+func checkTraffic(packets, ues int, dir string) error {
+	if packets < 1 {
+		return fmt.Errorf("-packets must be at least 1, got %d", packets)
+	}
 	if ues < 1 {
 		return fmt.Errorf("-ues must be at least 1, got %d", ues)
 	}
@@ -94,7 +97,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown radio %q\n", *radioKind)
 		os.Exit(2)
 	}
-	if err := checkTraffic(*ues, *dir); err != nil {
+	if err := checkTraffic(*packets, *ues, *dir); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
